@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/seldel/seldel/internal/codec"
 	"github.com/seldel/seldel/internal/merkle"
@@ -127,6 +128,9 @@ func (c CarriedEntry) AppendEncode(dst []byte) []byte {
 	return e.Data()
 }
 
+// encodedLen is len(c.Encode()), computed without encoding.
+func (c CarriedEntry) encodedLen() int { return 8 + 8 + 4 + 4 + c.Entry.encodedLen() }
+
 // encodeTo appends the canonical carried-entry encoding to e.
 func (c CarriedEntry) encodeTo(e *codec.Encoder) {
 	e.Uint64(c.OriginBlock)
@@ -190,6 +194,9 @@ type Block struct {
 	Entries []*Entry
 	Carried []CarriedEntry
 	SeqRef  *SequenceRef
+
+	// size caches EncodedSize (0 until the first call).
+	size atomic.Int64
 }
 
 // Errors returned by block validation.
@@ -522,9 +529,38 @@ func decodeSeqRef(data []byte) (*SequenceRef, error) {
 	return &s, nil
 }
 
-// EncodedSize returns the byte size of the canonical encoding, used by
-// the growth experiments (E4).
-func (b *Block) EncodedSize() int { return len(b.Encode()) }
+// EncodedSize returns the byte size of the canonical encoding (always
+// len(Encode())). The chain's live-byte accounting calls it on every
+// append and every cut, the baseline chain on every block, and the
+// summary-cost experiment once per summary. The size is summed from the
+// field lengths, never by encoding, and cached on first use, so every
+// later call is O(1). A block must not be changed after it was sized —
+// appended blocks are immutable; sealing is safe, the nonce is
+// fixed-width.
+func (b *Block) EncodedSize() int {
+	if n := b.size.Load(); n != 0 {
+		return int(n)
+	}
+	n := 4 + headerEncodedLen + 4 + 4 + 1
+	for _, e := range b.Entries {
+		n += 4 + e.encodedLen()
+	}
+	for _, c := range b.Carried {
+		n += 4 + c.encodedLen()
+	}
+	if b.SeqRef != nil {
+		n += 4 + seqRefEncodedLen
+	}
+	b.size.Store(int64(n))
+	return n
+}
+
+// headerEncodedLen and seqRefEncodedLen are the encoded sizes of the
+// fixed-width header and sequence reference.
+var (
+	headerEncodedLen = len((&Header{}).Encode())
+	seqRefEncodedLen = len((&SequenceRef{}).Encode())
+)
 
 // EntryProof returns a Merkle inclusion proof for entry i of a normal
 // block, or carried entry i of a summary block.

@@ -326,6 +326,82 @@ func TestEncodedSizeGrowsWithContent(t *testing.T) {
 	}
 }
 
+// TestEncodedSizeMatchesEncoding pins the EncodedSize contract:
+// the size summed from field lengths (and cached) equals
+// len(Encode()) for every shape of block.
+func TestEncodedSizeMatchesEncoding(t *testing.T) {
+	kp := identity.Deterministic("alpha", "block-test")
+	co := identity.Deterministic("bravo", "block-test")
+	entries := testEntries(t, 3)
+	rich := NewTemporary("alpha", bytes.Repeat([]byte("x"), 300), 40, 90).
+		WithDependsOn(Ref{Block: 1, Entry: 0}, Ref{Block: 2, Entry: 1}).Sign(kp)
+	del := NewDeletion("alpha", Ref{Block: 1, Entry: 0}).Sign(kp).AddCoSignature(co)
+	normal := NewNormal(4, 10, GenesisPrevHash, append(entries, rich, del))
+	carried := []CarriedEntry{
+		{OriginBlock: 1, OriginTime: 2, EntryNumber: 0, Entry: entries[0]},
+		{OriginBlock: 2, OriginTime: 3, EntryNumber: 1, Entry: rich},
+	}
+	ref := &SequenceRef{FirstBlock: 3, LastBlock: 5, Root: codec.HashBytes([]byte("r"))}
+
+	sealed := NewNormal(5, 11, normal.Hash(), entries)
+	sizedBeforeSeal := sealed.EncodedSize()
+	sealed.Header.Nonce = 0xFFFF_FFFF_FFFF_FFFF
+
+	decoded, err := DecodeBlock(normal.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := NewSummary(7, 13, GenesisPrevHash, carried, ref).Clone()
+	mutatedClone := normal.Clone()
+	mutatedClone.Entries[0].Payload = append(mutatedClone.Entries[0].Payload, "more"...)
+
+	cases := map[string]*Block{
+		"normal":                      normal,
+		"empty":                       NewNormal(6, 12, GenesisPrevHash, nil),
+		"summary":                     NewSummary(7, 13, GenesisPrevHash, carried, ref),
+		"summary, no seq-ref":         NewSummary(7, 13, GenesisPrevHash, carried, nil),
+		"empty summary":               NewSummary(7, 13, GenesisPrevHash, nil, nil),
+		"sealed":                      sealed,
+		"decoded":                     decoded,
+		"clone":                       clone,
+		"clone changed before sizing": mutatedClone,
+	}
+	for name, b := range cases {
+		want := len(b.Encode())
+		if got := b.EncodedSize(); got != want {
+			t.Errorf("%s: EncodedSize = %d, len(Encode()) = %d", name, got, want)
+		}
+		if got := b.EncodedSize(); got != want {
+			t.Errorf("%s: cached EncodedSize = %d, want %d", name, got, want)
+		}
+	}
+	if sizedBeforeSeal != len(sealed.Encode()) {
+		t.Errorf("sealing changed the size: %d before, %d after", sizedBeforeSeal, len(sealed.Encode()))
+	}
+}
+
+func TestQuickEncodedSizeMatchesEncoding(t *testing.T) {
+	f := func(payload []byte, owner string, sig []byte, deps uint8, cosig []byte, carry bool) bool {
+		e := &Entry{Kind: KindData, Payload: payload, Owner: owner, Signature: sig}
+		for i := range int(deps % 8) {
+			e.DependsOn = append(e.DependsOn, Ref{Block: uint64(i), Entry: uint32(i)})
+		}
+		if len(cosig) > 0 {
+			e.CoSigners = []CoSignature{{Name: owner + "-co", Signature: cosig}}
+		}
+		var b *Block
+		if carry {
+			b = NewSummary(3, 4, GenesisPrevHash, []CarriedEntry{{OriginBlock: 1, Entry: e}}, nil)
+		} else {
+			b = NewNormal(3, 4, GenesisPrevHash, []*Entry{e})
+		}
+		return b.EncodedSize() == len(b.Encode()) && e.encodedLen() == len(e.Encode())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestBlockKindString(t *testing.T) {
 	if KindNormal.String() != "normal" || KindSummary.String() != "summary" {
 		t.Error("block kind strings wrong")

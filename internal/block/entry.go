@@ -249,7 +249,7 @@ func (e *Entry) ExpiredAt(now uint64, blockNum uint64) bool {
 
 // Encode returns the full canonical encoding including signatures.
 func (e *Entry) Encode() []byte {
-	enc := codec.NewEncoder(encodedCap(e))
+	enc := codec.NewEncoder(e.encodedLen())
 	e.encodeTo(enc)
 	return enc.Data()
 }
@@ -263,12 +263,13 @@ func (e *Entry) AppendEncode(dst []byte) []byte {
 	return enc.Data()
 }
 
-// encodedCap over-estimates the encoded size so Encode's buffer never
-// grows mid-encode.
-func encodedCap(e *Entry) int {
-	n := 192 + len(e.Payload) + len(e.Owner) + 12*len(e.DependsOn)
+// encodedLen is len(e.Encode()), summed from the field lengths of the
+// layout encodeTo writes.
+func (e *Entry) encodedLen() int {
+	n := 1 + 4 + len(e.Payload) + 4 + len(e.Owner) + 4 + len(e.Signature) +
+		8 + 8 + 4 + 12*len(e.DependsOn) + 8 + 4 + 4
 	for _, cs := range e.CoSigners {
-		n += 80 + len(cs.Name)
+		n += 4 + len(cs.Name) + 4 + len(cs.Signature)
 	}
 	return n
 }

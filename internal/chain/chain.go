@@ -285,6 +285,16 @@ type Chain struct {
 	// ledger is the incremental summary-planning state: the origin-
 	// ordered carried-entry candidates plus expiry heaps (ledger.go).
 	ledger carriedLedger
+	// summary memoizes the last planned summary block, keyed by the head
+	// and planEpoch it was planned from (summaryLocked). BuildSummary
+	// plans under the read lock, so planMu guards it.
+	planMu  sync.Mutex
+	summary *summaryMemo
+	// planEpoch is bumped by every mark mutation that appends no block
+	// (InjectMarkForTest): it invalidates a summary planned before it.
+	planEpoch uint64
+	// plans counts summary plans computed (tests pin one per slot).
+	plans atomic.Uint64
 	// liveEntries / carriedEntries are maintained incrementally on
 	// append, mark, and truncate, so Stats() is O(1).
 	liveEntries    int
@@ -592,6 +602,7 @@ func (c *Chain) InjectMarkForTest(ref block.Ref) {
 		}
 	}
 	c.marks[ref] = Mark{Target: ref, Requester: "<fault-injection>"}
+	c.planEpoch++
 }
 
 // BuildNormal assembles (but does not append) the next normal block from
@@ -765,14 +776,17 @@ func (c *Chain) appendLocked(b *block.Block, checks cosigChecks) (chainEvents, e
 	}
 
 	if b.IsSummary() {
-		expected, plan := c.planSummaryLocked()
-		if expected.Hash() != b.Hash() {
+		// The hash was taken when Σ was planned, so the check holds even
+		// for the memo's own block; CheckShape already bound b's body to
+		// its header.
+		expected := c.summaryLocked()
+		if got := b.Hash(); got != expected.hash {
 			return events, fmt.Errorf("%w: block %d: got %s, computed %s",
-				ErrSummaryMismatch, next, b.Hash(), expected.Hash())
+				ErrSummaryMismatch, next, got, expected.hash)
 		}
 		c.pushBlock(b)
 		events.appended = append(events.appended, b)
-		if ev := c.applyPlanLocked(plan); ev != nil {
+		if ev := c.applyPlanLocked(expected.plan); ev != nil {
 			// Stage the physical work while still under the chain lock:
 			// the compactor's intake is non-blocking, and staging here
 			// is what keeps truncation events in marker order across

@@ -8,7 +8,7 @@ import (
 
 // This file maintains the carried-entry ledger: a running, origin-ordered
 // view of every live data entry as the CarriedEntry it would become in
-// the next summary block. The naive planner (summary_reference.go)
+// the next summary block. The naive planner (summary_reference_test.go)
 // rescans every merged block and every previously carried entry at each
 // summary slot; the ledger keeps that list materialized and updated on
 // append, mark, and truncate, so planSummaryLocked assembles Σ by

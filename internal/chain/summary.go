@@ -62,16 +62,51 @@ func (c *Chain) retentionPlanLocked(num, headTime uint64) summaryPlan {
 	return plan
 }
 
+// summaryMemo is the summary block Σ planned from one chain state, with
+// its retention plan and the hash it had when it was planned.
+type summaryMemo struct {
+	// head and epoch key the chain state the plan was made from.
+	head  *block.Block
+	epoch uint64
+	block *block.Block
+	hash  codec.Hash
+	plan  summaryPlan
+}
+
+// summaryLocked returns the summary planned from the current chain
+// state, planning it only when the memo holds another state's plan. The
+// plan is a pure function of the chain state, and that state changes
+// only by appending a block (a new head) or by a mark that appends none
+// (a new planEpoch) — so announce, every vote retry, apply, and
+// AppendBlock's comparison of a node's own summary share one plan per
+// slot. Callers must hold the chain lock (read or write) and must have
+// verified that the next slot is a summary slot. planMu makes concurrent
+// readers of one state wait for a single plan instead of each making
+// their own.
+func (c *Chain) summaryLocked() *summaryMemo {
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	head := c.head()
+	if m := c.summary; m != nil && m.head == head && m.epoch == c.planEpoch {
+		return m
+	}
+	b, plan := c.planSummaryLocked()
+	c.summary = &summaryMemo{head: head, epoch: c.planEpoch, block: b, hash: b.Hash(), plan: plan}
+	return c.summary
+}
+
 // planSummaryLocked computes the next summary block Σ and its retention
 // plan from the carried-entry ledger: instead of rescanning every merged
 // block (and every entry already carried inside a previous summary, the
 // dominant cost as chains grow), it copies the ledger's origin-ordered
 // prefix below the new marker — O(carried output). The result is
-// bit-identical to planSummaryReferenceLocked, which the golden tests
-// enforce. Callers must hold the chain lock (read or write) and must
-// have verified that the next slot is a summary slot; the method never
-// mutates chain state (nodes re-plan freely while voting).
+// bit-identical to the naive reference planner the golden tests keep.
+// Callers must hold the chain lock (read or write) and must have
+// verified that the next slot is a summary slot; the method never
+// mutates chain state. Everything else reaches it through the memo in
+// summaryLocked.
 func (c *Chain) planSummaryLocked() (*block.Block, summaryPlan) {
+	c.plans.Add(1)
 	head := c.head()
 	num := head.Header.Number + 1
 
@@ -169,9 +204,10 @@ func (c *Chain) middleSequenceRef(firstLiveSeq, currentSeq uint64) *block.Sequen
 	}
 }
 
-// BuildSummary computes the next summary block Σ from local state. Every
-// honest node produces a bit-identical block (§IV-B). The block is not
-// appended; call AppendBlock with it.
+// BuildSummary returns the next summary block Σ computed from local
+// state. Every honest node produces a bit-identical block (§IV-B). The
+// block is planned once per chain state and shared by every caller, so
+// it must not be modified. It is not appended; call AppendBlock with it.
 func (c *Chain) BuildSummary() (*block.Block, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -179,8 +215,7 @@ func (c *Chain) BuildSummary() (*block.Block, error) {
 	if !c.isSummarySlot(next) {
 		return nil, fmt.Errorf("%w: block %d is not a summary slot", ErrWrongSlot, next)
 	}
-	b, _ := c.planSummaryLocked()
-	return b, nil
+	return c.summaryLocked().block, nil
 }
 
 // applyPlanLocked executes the LOGICAL side of the retention plan after

@@ -6,12 +6,13 @@ import (
 	"github.com/seldel/seldel/internal/block"
 )
 
-// planSummaryReferenceLocked is the naive summary planner retained as
-// the executable specification of planSummaryLocked: it rescans every
+// planSummaryReferenceLocked is the naive summary planner kept as the
+// test oracle of planSummaryLocked and of its memo: it rescans every
 // merged block — and every entry already carried inside a previous
 // summary — at each summary slot. The incremental planner must produce
 // a bit-identical block for identical chain state; the golden tests
-// (summary_golden_test.go) assert that across every retention scenario.
+// (summary_golden_test.go) assert that across every retention scenario,
+// and the memo tests (summary_memo_test.go) after every chain mutation.
 // Callers must hold the chain lock (read or write) and must have
 // verified that the next slot is a summary slot.
 func (c *Chain) planSummaryReferenceLocked() (*block.Block, summaryPlan) {

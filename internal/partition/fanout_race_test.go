@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/seldel/seldel/internal/block"
+	"github.com/seldel/seldel/internal/chain"
 )
 
 // TestConcurrentDeletionFanOut is the cross-partition race check (run
@@ -65,11 +66,14 @@ func TestConcurrentDeletionFanOut(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// Push every victim's partition past its victim if churn alone was
-	// not enough, then let compaction settle.
+	// Push every victim's partition until the victim is gone if churn
+	// alone was not enough, then let compaction settle. The marker
+	// passing the victim's origin block is not enough: churn can carry
+	// the victim into a summary before its mark lands, and the victim
+	// then leaves with that summary's cut.
 	for u, v := range victims {
 		p := pc.Owner(v)
-		for i := 0; pc.Part(p).Marker() <= v.Block; i++ {
+		for i := 0; victimLive(pc.Part(p), v); i++ {
 			if i > 64 {
 				t.Fatalf("partition %d never truncated past %s", p, v)
 			}
@@ -162,4 +166,10 @@ func TestConcurrentDeletionFanOut(t *testing.T) {
 	for err := range perr {
 		t.Fatal(err)
 	}
+}
+
+// victimLive reports whether ref still resolves in the live chain c.
+func victimLive(c *chain.Chain, ref block.Ref) bool {
+	_, _, ok := c.Lookup(ref)
+	return ok
 }
